@@ -23,8 +23,9 @@
 //! * [`fleet`] — shard links (attach to a running daemon, or spawn-and-own an
 //!   `hfzd` child) over the redialing [`Connection`](huffdec_serve::Connection);
 //! * [`router`] — [`RouterState`] request dispatch, failure
-//!   handling (mark down → re-`LOAD` onto survivors → retry once), fleet
-//!   `STATS`/`METRICS` aggregation, and the accept loop;
+//!   handling (mark down → re-`LOAD` onto survivors → retry once), and fleet
+//!   `STATS`/`METRICS` aggregation; it is served by the same per-connection loop
+//!   as `hfzd` ([`huffdec_serve::net`]);
 //! * [`options`] — flag parsing, the spawnable [`Router`] builder API, and the
 //!   blocking foreground loop behind the `hfzr` binary.
 //!

@@ -30,11 +30,9 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use huffdec_codec::HfzError;
-use huffdec_serve::http::HttpServer;
-use huffdec_serve::net::ListenAddr;
+use huffdec_serve::net::{Handle, ListenAddr};
 use huffdec_serve::protocol::{Request, Response};
 
 use crate::fleet::{spawn_shard, ShardLink};
@@ -261,7 +259,6 @@ impl RouterBuilder {
         let state = Arc::new(RouterState::new(links));
         let server = RouterServer::bind(&self.listen, Arc::clone(&state))
             .map_err(|e| HfzError::io(format!("cannot bind {}", self.listen), e))?;
-        let addr = server.local_addr();
         for (name, path) in &self.preload {
             match state.handle(&Request::Load {
                 name: name.clone(),
@@ -285,106 +282,17 @@ impl RouterBuilder {
                 }
             }
         }
-        // Sidecar before the addr file: by the time a supervisor learns the address,
-        // the fleet is already scrapable — the same ordering contract as the daemon.
-        let mut metrics_addr = None;
-        let sidecar = match &self.metrics {
-            Some(addr) => {
-                let sidecar = HttpServer::bind(addr, Arc::clone(&state)).map_err(|e| {
-                    HfzError::io(format!("cannot bind metrics sidecar {}", addr), e)
-                })?;
-                let bound = sidecar
-                    .local_addr()
-                    .map_err(|e| HfzError::io("metrics sidecar address", e))?;
-                metrics_addr = Some(bound);
-                Some(std::thread::spawn(move || {
-                    let _ = sidecar.run();
-                }))
-            }
-            None => None,
-        };
-        if let Some(path) = &self.addr_file {
-            write_addr_file(path, &addr)
-                .map_err(|e| HfzError::io(format!("cannot write {}", path.display()), e))?;
-        }
-        let server_thread = std::thread::spawn(move || server.run());
-        Ok(RouterHandle {
-            state,
-            addr,
-            metrics_addr,
-            server: Some(server_thread),
-            sidecar,
-        })
+        Handle::start(server, self.metrics.as_ref(), self.addr_file.as_deref())
     }
 }
 
-/// Writes `addr` to `path` atomically: a sibling temp file, then a rename, so a
-/// reader polling the path never observes a partial write.
-fn write_addr_file(path: &std::path::Path, addr: &ListenAddr) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, format!("{}\n", addr))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// A spawned router: the resolved addresses, the shared state, and the lifecycle.
-///
-/// Dropping the handle *detaches* — the router keeps serving until someone sends
-/// `SHUTDOWN` or calls [`RouterHandle::shutdown`]. Call [`RouterHandle::join`] for
-/// a clean blocking wait.
-#[derive(Debug)]
-pub struct RouterHandle {
-    state: Arc<RouterState>,
-    addr: ListenAddr,
-    metrics_addr: Option<ListenAddr>,
-    server: Option<JoinHandle<std::io::Result<()>>>,
-    sidecar: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound protocol address, with ephemeral TCP ports resolved.
-    pub fn local_addr(&self) -> &ListenAddr {
-        &self.addr
-    }
-
-    /// The bound metrics sidecar address, when one was requested.
-    pub fn metrics_addr(&self) -> Option<&ListenAddr> {
-        self.metrics_addr.as_ref()
-    }
-
-    /// The shared router state (stats, health, shard links).
-    pub fn state(&self) -> Arc<RouterState> {
-        Arc::clone(&self.state)
-    }
-
-    /// Requests shutdown; pair with [`RouterHandle::join`] to wait for the drain.
-    pub fn shutdown(&self) {
-        self.state.request_shutdown();
-    }
-
-    /// Blocks until the router exits (after a [`RouterHandle::shutdown`] or a
-    /// protocol `SHUTDOWN`) and surfaces how the accept loop ended.
-    pub fn join(mut self) -> Result<(), HfzError> {
-        let result = match self.server.take() {
-            Some(handle) => match handle.join() {
-                Ok(result) => result.map_err(|e| HfzError::io("router failed", e)),
-                Err(_) => Err(HfzError::Protocol("router thread panicked".to_string())),
-            },
-            None => Ok(()),
-        };
-        if let Some(sidecar) = self.sidecar.take() {
-            let _ = sidecar.join();
-        }
-        result
-    }
-}
+/// A spawned router (see [`Handle`]).
+pub type RouterHandle = Handle<RouterState>;
 
 /// Builds the fleet from parsed flags, spawns it, prints the start-up lines the
 /// smoke jobs expect (one per shard, `metrics on`, then `listening on`), and blocks
 /// until shutdown — the body of the `hfzr` binary.
 pub fn run_foreground(options: &RouterOptions) -> Result<(), HfzError> {
-    use std::io::Write as _;
     let handle = RouterBuilder::from_options(options).spawn()?;
     let state = handle.state();
     for link in state.links() {
@@ -402,18 +310,8 @@ pub fn run_foreground(options: &RouterOptions) -> Result<(), HfzError> {
         let fields = state.archive_field_count(name).unwrap_or(0);
         eprintln!("hfzr: placed '{}' from {} ({} fields)", name, path, fields);
     }
-    let mut out = std::io::stdout();
-    if let Some(bound) = handle.metrics_addr() {
-        let _ = writeln!(out, "hfzr: metrics on {}", bound);
-    }
-    let _ = writeln!(
-        out,
-        "hfzr: listening on {} ({} shards)",
-        handle.local_addr(),
-        state.links().len()
-    );
-    let _ = out.flush();
-    handle.join()
+    let shards = format!("{} shards", state.links().len());
+    handle.announce_and_join("hfzr", &shards)
 }
 
 #[cfg(test)]

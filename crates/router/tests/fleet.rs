@@ -395,8 +395,8 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     // ---- Kill the shard owning `solo` mid-run. ----
     //
     // In-process, `request_shutdown` is the kill switch: the shard stops accepting
-    // and drops every connection — including the router's pooled link — at its next
-    // frame, which is exactly what the router observes when a remote daemon dies.
+    // and closes every connection — including the router's pooled link — which is
+    // exactly what the router observes when a remote daemon dies.
     let dead = solo_owners[0];
     shards[dead].1.request_shutdown();
     std::thread::sleep(std::time::Duration::from_millis(50));
@@ -454,9 +454,9 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     }
     assert!(matches!(state.health(), huffdec_serve::Health::Healthy));
 
-    // Shut the fleet down: the router first, then the surviving shards. The router
-    // state must go before the shards do — its pooled links hold their sockets, and
-    // a shard's shutdown join waits for every connection to hang up.
+    // Shut the fleet down: the router first, then the surviving shards. A shard's
+    // shutdown does not wait for the router's pooled links to hang up: it shuts the
+    // read half of every live connection and joins the connection threads.
     client.shutdown().unwrap();
     router_thread.join().unwrap();
     drop(state);

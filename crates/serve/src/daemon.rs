@@ -51,8 +51,7 @@ use gpu_sim::GpuConfig;
 use huffdec_backend::BackendKind;
 use huffdec_codec::HfzError;
 
-use crate::http::MetricsServer;
-use crate::net::ListenAddr;
+use crate::net::{Handle, ListenAddr};
 use crate::server::{Server, ServerConfig, ServerState};
 
 /// Default listen address when `--listen` is absent.
@@ -298,103 +297,12 @@ impl DaemonBuilder {
                 other => other,
             })?;
         }
-        // The sidecar binds (and its address is registered with the state) before the
-        // addr-file is written, so anything that waited on the file can already scrape.
-        let mut metrics_addr = None;
-        let sidecar = match &self.metrics {
-            Some(addr) => {
-                let sidecar =
-                    MetricsServer::bind(addr, std::sync::Arc::clone(&state)).map_err(|e| {
-                        HfzError::io(format!("cannot bind metrics sidecar {}", addr), e)
-                    })?;
-                let bound = sidecar
-                    .local_addr()
-                    .map_err(|e| HfzError::io("metrics sidecar address", e))?;
-                metrics_addr = Some(bound);
-                Some(std::thread::spawn(move || {
-                    let _ = sidecar.run();
-                }))
-            }
-            None => None,
-        };
-        let addr = server.local_addr();
-        if let Some(path) = &self.addr_file {
-            write_addr_file(path, &addr)
-                .map_err(|e| HfzError::io(format!("cannot write {}", path.display()), e))?;
-        }
-        let server_thread = std::thread::spawn(move || server.run());
-        Ok(ServerHandle {
-            state,
-            addr,
-            metrics_addr,
-            server: Some(server_thread),
-            sidecar,
-        })
+        Handle::start(server.0, self.metrics.as_ref(), self.addr_file.as_deref())
     }
 }
 
-/// Writes `addr` to `path` atomically (sibling temp file + rename), so a reader
-/// polling the file never observes a partial address.
-fn write_addr_file(path: &std::path::Path, addr: &ListenAddr) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, format!("{}\n", addr))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// A running in-process daemon: the serving threads, their shared state, and the
-/// resolved addresses.
-///
-/// Dropping the handle *detaches* the daemon (the threads keep serving); stopping it
-/// is explicit — [`ServerHandle::shutdown`] then [`ServerHandle::join`].
-pub struct ServerHandle {
-    state: std::sync::Arc<ServerState>,
-    addr: ListenAddr,
-    metrics_addr: Option<ListenAddr>,
-    server: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-    sidecar: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The resolved listen address (for `tcp:...:0` it carries the actual port).
-    pub fn local_addr(&self) -> &ListenAddr {
-        &self.addr
-    }
-
-    /// The metrics sidecar's resolved address, when one was bound.
-    pub fn metrics_addr(&self) -> Option<&ListenAddr> {
-        self.metrics_addr.as_ref()
-    }
-
-    /// Handle to the shared state (for in-process loading, stats, and tests).
-    pub fn state(&self) -> std::sync::Arc<ServerState> {
-        std::sync::Arc::clone(&self.state)
-    }
-
-    /// Requests shutdown (idempotent; does not wait — follow with
-    /// [`ServerHandle::join`]).
-    pub fn shutdown(&self) {
-        self.state.request_shutdown();
-    }
-
-    /// Waits for the serving threads to exit (after a [`ServerHandle::shutdown`] or a
-    /// client's `SHUTDOWN` request).
-    pub fn join(mut self) -> Result<(), HfzError> {
-        if let Some(server) = self.server.take() {
-            let result = server
-                .join()
-                .map_err(|_| HfzError::Protocol("server thread panicked".to_string()))?;
-            result.map_err(|e| HfzError::io("server failed", e))?;
-        }
-        if let Some(sidecar) = self.sidecar.take() {
-            // `SHUTDOWN` pokes the sidecar's accept loop too; join so its socket is
-            // gone before the entry point reports the daemon stopped.
-            let _ = sidecar.join();
-        }
-        Ok(())
-    }
-}
+/// A running in-process daemon (see [`Handle`]).
+pub type ServerHandle = Handle<ServerState>;
 
 /// The blocking entry point `hfzd` and `hfz serve` wrap: spawns via the builder,
 /// prints the start-up lines, and waits until shutdown.
@@ -408,25 +316,8 @@ pub fn run_foreground(options: &DaemonOptions) -> Result<(), HfzError> {
             loaded.fields().len()
         );
     }
-    use std::io::Write as _;
-    if let Some(addr) = handle.metrics_addr() {
-        let mut out = std::io::stdout();
-        let _ = writeln!(out, "hfzd: metrics on {}", addr);
-        let _ = out.flush();
-    }
-    // Printed on stdout and flushed: start-up scripts wait for this line (scripts
-    // that need the address itself should prefer `--addr-file`).
-    {
-        let mut out = std::io::stdout();
-        let _ = writeln!(
-            out,
-            "hfzd: listening on {} (cache budget {} bytes)",
-            handle.local_addr(),
-            options.cache_bytes
-        );
-        let _ = out.flush();
-    }
-    handle.join()
+    let budget = format!("cache budget {} bytes", options.cache_bytes);
+    handle.announce_and_join("hfzd", &budget)
 }
 
 #[cfg(test)]

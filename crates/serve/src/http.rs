@@ -8,79 +8,38 @@
 //! * `GET /healthz` — `healthy` / `degraded: …` (both `200 OK`) or `unhealthy: …`
 //!   (`503 Service Unavailable`), computed by [`ServerState::health`].
 //!
-//! The implementation is deliberately tiny — dependency-free, thread-per-connection,
-//! `Connection: close` — because a scrape every few seconds is all the traffic it will
-//! ever see. It is **not** a general HTTP server: request heads are capped at 8 KiB,
-//! bodies are ignored, and only `GET` is answered.
+//! The implementation is deliberately tiny — dependency-free, served by the same
+//! thread-per-connection accept loop as the protocol, `Connection: close` — because a
+//! scrape every few seconds is all the traffic it will ever see. It is **not** a
+//! general HTTP server: request heads are capped at 8 KiB, bodies are ignored, and
+//! only `GET` is answered. The router serves the same two endpoints over fleet-wide
+//! documents: the sidecar is generic over [`Service`].
 
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::thread;
 
-use crate::net::{Conn, ListenAddr, Listener};
+use crate::net::{accept_loop, Conn, ListenAddr, Listener, Service};
 use crate::server::{Health, ServerState};
 
 /// Longest request head (request line + headers) the sidecar will read.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// What a component must expose to get the `/metrics` + `/healthz` sidecar.
-///
-/// The sidecar used to be welded to [`ServerState`]; the router (`hfzr`) serves the
-/// same two endpoints over *fleet-wide* documents, so the HTTP plumbing is generic
-/// over this trait instead.
-pub trait HttpEndpoints: Send + Sync + 'static {
-    /// The `/metrics` body: a Prometheus text exposition document.
-    fn metrics_text(&self) -> String;
-    /// The `/healthz` verdict.
-    fn health(&self) -> Health;
-    /// True once shutdown has been requested; the accept loop exits on the next
-    /// connection (the shutdown path dials once to unblock it).
-    fn is_shutting_down(&self) -> bool;
-    /// Called once with the resolved bound address (ephemeral ports resolved), so the
-    /// owner can record where the sidecar lives and poke it on shutdown.
-    fn sidecar_bound(&self, addr: ListenAddr) {
-        let _ = addr;
-    }
-}
-
-impl HttpEndpoints for ServerState {
-    fn metrics_text(&self) -> String {
-        self.metrics().render_prometheus()
-    }
-
-    fn health(&self) -> Health {
-        ServerState::health(self)
-    }
-
-    fn is_shutting_down(&self) -> bool {
-        ServerState::is_shutting_down(self)
-    }
-
-    fn sidecar_bound(&self, addr: ListenAddr) {
-        self.set_metrics_addr(addr);
-    }
-}
-
-/// The metrics/health HTTP listener, bound next to a daemon's request socket.
-pub struct HttpServer<E: HttpEndpoints> {
+/// The metrics/health HTTP listener, bound next to a service's protocol socket.
+pub struct HttpServer<S: Service> {
     listener: Listener,
-    endpoints: Arc<E>,
+    service: Arc<S>,
 }
 
 /// The daemon's sidecar: [`HttpServer`] over [`ServerState`].
 pub type MetricsServer = HttpServer<ServerState>;
 
-impl<E: HttpEndpoints> HttpServer<E> {
-    /// Binds the sidecar on `addr` and reports the resolved address (ephemeral ports
-    /// resolved) back through [`HttpEndpoints::sidecar_bound`], so shutdown can poke
-    /// the accept loop.
-    pub fn bind(addr: &ListenAddr, endpoints: Arc<E>) -> std::io::Result<HttpServer<E>> {
+impl<S: Service> HttpServer<S> {
+    /// Binds the sidecar on `addr` and records the resolved address (ephemeral ports
+    /// resolved) in the service's lifecycle, so shutdown can wake the accept loop.
+    pub fn bind(addr: &ListenAddr, service: Arc<S>) -> std::io::Result<HttpServer<S>> {
         let listener = Listener::bind(addr)?;
-        endpoints.sidecar_bound(listener.local_addr()?);
-        Ok(HttpServer {
-            listener,
-            endpoints,
-        })
+        service.lifecycle().sidecar_bound(listener.local_addr()?);
+        Ok(HttpServer { listener, service })
     }
 
     /// The bound address, with ephemeral TCP ports resolved.
@@ -88,27 +47,18 @@ impl<E: HttpEndpoints> HttpServer<E> {
         self.listener.local_addr()
     }
 
-    /// Accepts and serves scrapes until the owner shuts down. Each connection gets a
-    /// short-lived thread; responses always carry `Connection: close`.
+    /// Accepts and serves scrapes until the service shuts down. A connection accepted
+    /// during shutdown (the wake-up, or a racing scrape) is answered — `/healthz` then
+    /// reads unhealthy — before the loop exits.
     pub fn run(self) -> std::io::Result<()> {
-        loop {
-            let conn = self.listener.accept()?;
-            if self.endpoints.is_shutting_down() {
-                // The shutdown path connects once to unblock `accept`; answer that
-                // probe (and any racing scrape) with the unhealthy page, then stop.
-                let endpoints = Arc::clone(&self.endpoints);
-                let _ = serve_connection(conn, &*endpoints);
-                return Ok(());
-            }
-            let endpoints = Arc::clone(&self.endpoints);
-            thread::spawn(move || {
-                let _ = serve_connection(conn, &*endpoints);
-            });
-        }
+        let service = Arc::clone(&self.service);
+        accept_loop(&self.listener, self.service.lifecycle(), move |conn| {
+            let _ = serve_connection(conn, &*service);
+        })
     }
 }
 
-impl<E: HttpEndpoints> std::fmt::Debug for HttpServer<E> {
+impl<S: Service> std::fmt::Debug for HttpServer<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HttpServer")
             .field("listener", &self.listener)
@@ -118,23 +68,23 @@ impl<E: HttpEndpoints> std::fmt::Debug for HttpServer<E> {
 
 /// Reads one request head and writes one response. Any parse problem is answered with
 /// a `400`; I/O errors are returned for the caller to drop.
-fn serve_connection<E: HttpEndpoints>(mut conn: Conn, state: &E) -> std::io::Result<()> {
-    let head = match read_head(&mut conn) {
+fn serve_connection<S: Service>(conn: &mut Conn, state: &S) -> std::io::Result<()> {
+    let head = match read_head(conn) {
         Ok(head) => head,
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            return write_response(&mut conn, 400, "Bad Request", "text/plain", "bad request\n");
+            return write_response(conn, 400, "Bad Request", "text/plain", "bad request\n");
         }
         Err(e) => return Err(e),
     };
     let (method, path) = match parse_request_line(&head) {
         Some(parts) => parts,
         None => {
-            return write_response(&mut conn, 400, "Bad Request", "text/plain", "bad request\n");
+            return write_response(conn, 400, "Bad Request", "text/plain", "bad request\n");
         }
     };
     if method != "GET" {
         return write_response(
-            &mut conn,
+            conn,
             405,
             "Method Not Allowed",
             "text/plain",
@@ -143,30 +93,30 @@ fn serve_connection<E: HttpEndpoints>(mut conn: Conn, state: &E) -> std::io::Res
     }
     match path {
         "/metrics" => write_response(
-            &mut conn,
+            conn,
             200,
             "OK",
             "text/plain; version=0.0.4; charset=utf-8",
             &state.metrics_text(),
         ),
         "/healthz" => match state.health() {
-            Health::Healthy => write_response(&mut conn, 200, "OK", "text/plain", "healthy\n"),
+            Health::Healthy => write_response(conn, 200, "OK", "text/plain", "healthy\n"),
             Health::Degraded(reason) => write_response(
-                &mut conn,
+                conn,
                 200,
                 "OK",
                 "text/plain",
                 &format!("degraded: {}\n", reason),
             ),
             Health::Unhealthy(reason) => write_response(
-                &mut conn,
+                conn,
                 503,
                 "Service Unavailable",
                 "text/plain",
                 &format!("unhealthy: {}\n", reason),
             ),
         },
-        _ => write_response(&mut conn, 404, "Not Found", "text/plain", "not found\n"),
+        _ => write_response(conn, 404, "Not Found", "text/plain", "not found\n"),
     }
 }
 

@@ -11,11 +11,14 @@
 //!
 //! * [`protocol`] — the length-prefixed binary request/response format
 //!   (`LIST`/`GET`/`STATS`/`VERIFY`/`LOAD`/`SHUTDOWN`, plus the `BUSY` overload reply);
-//! * [`net`] — `tcp:HOST:PORT` / `unix:PATH` transport;
+//! * [`net`] — `tcp:HOST:PORT` / `unix:PATH` transport, and the serving loop `hfzd`
+//!   and `hfzr` share: the [`Service`] trait, one blocking thread per connection
+//!   ([`Endpoint`]), and the background lifecycle ([`Handle`]: sidecar, addr-file,
+//!   `shutdown`/`join`);
 //! * [`store`] — the parse-once archive store: section tables, decode structures, and
 //!   lazily built range-decode indexes, all cached per loaded archive;
 //! * [`cache`] — the decoded-field LRU: bytes-budgeted, shared across requests;
-//! * [`server`] — the daemon itself: an event-loop reactor over one shared state,
+//! * [`server`] — the daemon itself: per-connection threads over one shared state,
 //!   with a single-flight/wave scheduler feeding one decode-worker thread;
 //! * [`http`] — the observability sidecar: `GET /metrics` (Prometheus text
 //!   exposition) and `GET /healthz` over plain HTTP/1.1;
@@ -26,8 +29,9 @@
 //!
 //! ## Request flow
 //!
-//! A full-field `GET` checks the LRU first. On a miss it becomes a *decode future*:
-//! the reactor submits it to the scheduler and keeps serving other traffic. Concurrent
+//! Each connection is served by its own thread. A full-field `GET` checks the LRU
+//! first. On a miss the connection thread submits the decode to the shared scheduler
+//! and waits on its flight while other connections keep being served. Concurrent
 //! misses of the same field coalesce into one decode (single-flight) whose result fans
 //! back out to every waiter; misses of distinct fields that land within one scheduling
 //! tick merge into one batched decode wave. When the pending-decode queue is full the
@@ -66,11 +70,11 @@ pub mod store;
 pub use cache::{CacheKey, CacheStats, DecodedLru};
 pub use client::{ClientError, Connection, GetResult, RetryPolicy};
 pub use daemon::{Daemon, DaemonBuilder, DaemonOptions, ServerHandle};
-pub use http::{HttpEndpoints, HttpServer, MetricsServer};
+pub use http::{HttpServer, MetricsServer};
 pub use huffdec_codec::{
     ArchiveHandle, Backend, BackendKind, Codec, FieldHandle, HfzError, Metrics, MetricsSnapshot,
 };
-pub use net::{ListenAddr, Listener};
+pub use net::{Endpoint, Handle, Lifecycle, ListenAddr, Listener, Service};
 pub use protocol::{GetKind, ProtocolError, Request, Response};
 pub use server::{Health, Server, ServerConfig, ServerState};
 pub use store::{ArchiveStore, LoadedArchive};

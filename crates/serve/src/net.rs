@@ -1,14 +1,35 @@
-//! Transport: the daemon listens on either a TCP socket or (on Unix) a Unix-domain
-//! socket; both sides of the protocol speak over a [`Conn`].
+//! Transport and the serving loop `hfzd` and `hfzr` share.
 //!
-//! Addresses are spelled `tcp:HOST:PORT` or `unix:PATH`; a bare `HOST:PORT` means TCP.
-//! `tcp:HOST:0` binds an ephemeral port — [`Listener::local_addr`] reports the resolved
-//! one, which is how tests and the smoke jobs avoid port collisions.
+//! The daemon listens on either a TCP socket or (on Unix) a Unix-domain socket; both
+//! sides of the protocol speak over a [`Conn`]. Addresses are spelled `tcp:HOST:PORT`
+//! or `unix:PATH`; a bare `HOST:PORT` means TCP. `tcp:HOST:0` binds an ephemeral port —
+//! [`Listener::local_addr`] reports the resolved one, which is how tests and the smoke
+//! jobs avoid port collisions. Every TCP connection runs with `TCP_NODELAY`: a request
+//! or reply is one frame in one write, and Nagle's algorithm would only hold it back.
+//!
+//! Serving: anything that implements [`Service`] (the daemon's
+//! [`ServerState`](crate::ServerState), the router's state) is served by an
+//! [`Endpoint`] — one blocking thread per connection, frames in and frames out in
+//! order — and run in the background behind a [`Handle`], which also owns the optional
+//! HTTP sidecar and the addr-file. [`Lifecycle`] is the shutdown flag the protocol
+//! listener and the sidecar share.
 
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use huffdec_codec::HfzError;
+
+use crate::http::HttpServer;
+use crate::protocol::{
+    read_frame, write_frame, Request, Response, MAX_REQUEST_BYTES, MAX_RESPONSE_BYTES,
+};
+use crate::server::Health;
 
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -66,13 +87,26 @@ pub enum Conn {
 }
 
 impl Conn {
-    /// Switches the stream between blocking and non-blocking mode (the event-loop
-    /// server runs every accepted connection non-blocking).
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+    fn tcp(stream: TcpStream) -> std::io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        Ok(Conn::Tcp(stream))
+    }
+
+    /// A second handle on the same socket.
+    pub(crate) fn try_clone(&self) -> std::io::Result<Conn> {
         match self {
-            Conn::Tcp(s) => s.set_nonblocking(nonblocking),
+            Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
             #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(nonblocking),
+            Conn::Unix(s) => Ok(Conn::Unix(s.try_clone()?)),
+        }
+    }
+
+    /// Shuts down the read half, the write half, or both.
+    pub(crate) fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(how),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(how),
         }
     }
 
@@ -128,7 +162,7 @@ impl Write for Conn {
 /// Dials `addr`.
 pub fn connect(addr: &ListenAddr) -> std::io::Result<Conn> {
     match addr {
-        ListenAddr::Tcp(a) => Ok(Conn::Tcp(TcpStream::connect(a)?)),
+        ListenAddr::Tcp(a) => Conn::tcp(TcpStream::connect(a)?),
         #[cfg(unix)]
         ListenAddr::Unix(path) => Ok(Conn::Unix(UnixStream::connect(path)?)),
         #[cfg(not(unix))]
@@ -180,22 +214,12 @@ impl Listener {
         }
     }
 
-    /// Blocks until the next connection (or returns `WouldBlock` immediately when the
-    /// listener is in non-blocking mode and nothing is pending).
+    /// Blocks until the next connection.
     pub fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => Ok(Conn::Tcp(l.accept()?.0)),
+            Listener::Tcp(l) => Conn::tcp(l.accept()?.0),
             #[cfg(unix)]
             Listener::Unix(l, _) => Ok(Conn::Unix(l.accept()?.0)),
-        }
-    }
-
-    /// Switches the listener between blocking and non-blocking accept.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(nonblocking),
         }
     }
 }
@@ -206,6 +230,316 @@ impl Drop for Listener {
         if let Listener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+// --- Serving ---------------------------------------------------------------------------
+
+/// A protocol endpoint: `hfzd`'s [`ServerState`](crate::ServerState) and `hfzr`'s
+/// router state. [`Endpoint`] serves the protocol from it and the HTTP sidecar serves
+/// `/metrics` and `/healthz`.
+pub trait Service: Send + Sync + 'static {
+    /// Answers one request, blocking until the answer is ready.
+    fn handle(&self, request: &Request) -> Response;
+    /// The `/metrics` body: a Prometheus text exposition document.
+    fn metrics_text(&self) -> String;
+    /// The `/healthz` verdict.
+    fn health(&self) -> Health;
+    /// The shutdown flag, and the listeners shutdown wakes.
+    fn lifecycle(&self) -> &Lifecycle;
+    /// Requests shutdown (idempotent; does not wait).
+    fn request_shutdown(&self) {
+        self.lifecycle().request_shutdown();
+    }
+    /// Runs once serving has ended: the accept loop is gone and every connection
+    /// thread has been joined.
+    fn stopped(&self);
+}
+
+/// The shutdown flag a service's protocol listener and HTTP sidecar share, and the
+/// bound addresses shutdown dials to wake their blocking `accept`.
+#[derive(Debug, Default)]
+pub struct Lifecycle {
+    shutdown: AtomicBool,
+    listener: Mutex<Option<ListenAddr>>,
+    sidecar: Mutex<Option<ListenAddr>>,
+}
+
+impl Lifecycle {
+    /// Whether shutdown has been requested.
+    pub fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag and wakes both accept loops with throwaway connections.
+    pub fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for slot in [&self.listener, &self.sidecar] {
+            let addr = slot.lock().unwrap_or_else(|p| p.into_inner()).clone();
+            if let Some(addr) = addr {
+                let _ = connect(&addr);
+            }
+        }
+    }
+
+    fn bound(slot: &Mutex<Option<ListenAddr>>, addr: ListenAddr) {
+        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(addr);
+    }
+
+    pub(crate) fn sidecar_bound(&self, addr: ListenAddr) {
+        Lifecycle::bound(&self.sidecar, addr);
+    }
+}
+
+/// How long a connection may hold the exit once shutdown is requested: the shutdown
+/// poke, a client racing it, or a reply still being written.
+const EXIT_BUDGET: Duration = Duration::from_millis(200);
+
+/// The accept loop of the protocol endpoint and of the HTTP sidecar: one thread per
+/// connection until shutdown. At exit the read half of every live connection is shut,
+/// so a thread blocked on its next request sees EOF while the replies it owes (the
+/// `SHUTDOWN` acknowledgement among them) still get written; after [`EXIT_BUDGET`] the
+/// write half is shut as well, and every thread is joined.
+pub(crate) fn accept_loop<F>(
+    listener: &Listener,
+    lifecycle: &Lifecycle,
+    serve: F,
+) -> std::io::Result<()>
+where
+    F: Fn(&mut Conn) + Clone + Send + 'static,
+{
+    let mut live: Vec<(Conn, JoinHandle<()>)> = Vec::new();
+    let result = loop {
+        let mut conn = match listener.accept() {
+            Ok(conn) => conn,
+            Err(e) => break Err(e),
+        };
+        if lifecycle.is_shutting_down() {
+            let _ = conn.set_timeouts(Some(EXIT_BUDGET), Some(EXIT_BUDGET));
+            serve(&mut conn);
+            break Ok(());
+        }
+        live.retain(|(_, thread)| !thread.is_finished());
+        let Ok(peer) = conn.try_clone() else {
+            continue;
+        };
+        let serve = serve.clone();
+        // A thread that cannot be spawned drops its connection, not the server.
+        let spawned = std::thread::Builder::new().spawn(move || {
+            serve(&mut conn);
+            // `peer` keeps the socket open until it is reaped: close it now.
+            let _ = conn.shutdown(Shutdown::Both);
+        });
+        if let Ok(thread) = spawned {
+            live.push((peer, thread));
+        }
+    };
+    for (conn, _) in &live {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
+    // A peer that stops reading blocks the write of its reply for good: once the
+    // budget is spent, the write half is cut too.
+    let deadline = Instant::now() + EXIT_BUDGET;
+    while Instant::now() < deadline && live.iter().any(|(_, thread)| !thread.is_finished()) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for (conn, thread) in live {
+        let _ = conn.shutdown(Shutdown::Both);
+        let _ = thread.join();
+    }
+    result
+}
+
+/// One protocol connection: frames in, frames out, in request order, until EOF or a
+/// protocol violation (an oversized or truncated frame drops the connection).
+fn serve_frames<S: Service>(service: &S, conn: &mut Conn) {
+    while let Ok(Some(body)) = read_frame(conn, MAX_REQUEST_BYTES) {
+        // Once SHUTDOWN has been accepted, other connections are dropped at their next
+        // frame rather than served.
+        if service.lifecycle().is_shutting_down() {
+            return;
+        }
+        let response = match Request::decode(&body) {
+            Ok(request) => service.handle(&request),
+            Err(e) => Response::Error(format!("bad request: {}", e)),
+        };
+        let last = matches!(response, Response::ShuttingDown);
+        let mut reply = response.encode();
+        if reply.len() as u64 > MAX_RESPONSE_BYTES as u64 {
+            // A reply that cannot fit a frame (a field or merged batch past the 1 GiB
+            // ceiling) degrades to a typed error instead of desyncing the stream.
+            reply = Response::Error(format!(
+                "response of {} bytes exceeds the {} frame limit; request a range",
+                reply.len(),
+                MAX_RESPONSE_BYTES
+            ))
+            .encode();
+        }
+        if write_frame(conn, &reply, MAX_RESPONSE_BYTES).is_err() || last {
+            return;
+        }
+    }
+}
+
+/// A bound protocol listener in front of a [`Service`]. Requests are not accepted
+/// until [`Endpoint::run`].
+#[derive(Debug)]
+pub struct Endpoint<S> {
+    listener: Listener,
+    addr: ListenAddr,
+    state: Arc<S>,
+}
+
+impl<S: Service> Endpoint<S> {
+    /// Binds `addr` for `state`.
+    pub fn bind(addr: &ListenAddr, state: Arc<S>) -> std::io::Result<Endpoint<S>> {
+        let listener = Listener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        Lifecycle::bound(&state.lifecycle().listener, addr.clone());
+        Ok(Endpoint {
+            listener,
+            addr,
+            state,
+        })
+    }
+
+    /// The resolved listen address (for `tcp:...:0` it carries the actual port).
+    pub fn local_addr(&self) -> ListenAddr {
+        self.addr.clone()
+    }
+
+    /// The shared state.
+    pub fn state(&self) -> Arc<S> {
+        Arc::clone(&self.state)
+    }
+
+    /// Serves until shutdown, one thread per connection, then joins them all.
+    pub fn run(self) -> std::io::Result<()> {
+        let service = Arc::clone(&self.state);
+        let result = accept_loop(&self.listener, self.state.lifecycle(), move |conn| {
+            serve_frames(&*service, conn)
+        });
+        if result.is_err() {
+            // Serving is over either way; stop whatever else waits on the flag.
+            self.state.request_shutdown();
+        }
+        self.state.stopped();
+        result
+    }
+}
+
+/// Writes `addr` to `path` atomically (sibling temp file + rename), so a reader
+/// polling the file never observes a partial address.
+fn write_addr_file(path: &Path, addr: &ListenAddr) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, format!("{}\n", addr))?;
+    std::fs::rename(&tmp, path)
+}
+
+/// A service running in the background: the serving thread, the optional HTTP
+/// sidecar, the shared state, and the resolved addresses.
+///
+/// Dropping the handle *detaches* (the threads keep serving); stopping is explicit —
+/// [`Handle::shutdown`], or a client's `SHUTDOWN`, then [`Handle::join`].
+#[derive(Debug)]
+pub struct Handle<S> {
+    state: Arc<S>,
+    addr: ListenAddr,
+    metrics_addr: Option<ListenAddr>,
+    server: JoinHandle<std::io::Result<()>>,
+    sidecar: Option<JoinHandle<std::io::Result<()>>>,
+}
+
+impl<S: Service> Handle<S> {
+    /// Binds the HTTP sidecar on `metrics` (when given), writes the resolved listen
+    /// address to `addr_file` (when given), and starts serving `endpoint`. The sidecar
+    /// binds before the addr-file is written, so anything that waited on the file can
+    /// already scrape.
+    pub fn start(
+        endpoint: Endpoint<S>,
+        metrics: Option<&ListenAddr>,
+        addr_file: Option<&Path>,
+    ) -> Result<Handle<S>, HfzError> {
+        let state = endpoint.state();
+        let addr = endpoint.local_addr();
+        let mut metrics_addr = None;
+        let mut sidecar = None;
+        if let Some(at) = metrics {
+            let http = HttpServer::bind(at, Arc::clone(&state))
+                .map_err(|e| HfzError::io(format!("cannot bind metrics sidecar {}", at), e))?;
+            metrics_addr = Some(
+                http.local_addr()
+                    .map_err(|e| HfzError::io("metrics sidecar address", e))?,
+            );
+            sidecar = Some(std::thread::spawn(move || http.run()));
+        }
+        if let Some(path) = addr_file {
+            write_addr_file(path, &addr)
+                .map_err(|e| HfzError::io(format!("cannot write {}", path.display()), e))?;
+        }
+        Ok(Handle {
+            state,
+            addr,
+            metrics_addr,
+            server: std::thread::spawn(move || endpoint.run()),
+            sidecar,
+        })
+    }
+
+    /// The resolved listen address (for `tcp:...:0` it carries the actual port).
+    pub fn local_addr(&self) -> &ListenAddr {
+        &self.addr
+    }
+
+    /// The metrics sidecar's resolved address, when one was bound.
+    pub fn metrics_addr(&self) -> Option<&ListenAddr> {
+        self.metrics_addr.as_ref()
+    }
+
+    /// Handle to the shared state.
+    pub fn state(&self) -> Arc<S> {
+        Arc::clone(&self.state)
+    }
+
+    /// Requests shutdown (idempotent; does not wait — follow with [`Handle::join`]).
+    pub fn shutdown(&self) {
+        self.state.request_shutdown();
+    }
+
+    /// Waits for the serving threads to exit and surfaces how serving ended.
+    pub fn join(self) -> Result<(), HfzError> {
+        let result = match self.server.join() {
+            Ok(result) => result.map_err(|e| HfzError::io("server failed", e)),
+            Err(_) => Err(HfzError::Protocol("server thread panicked".to_string())),
+        };
+        if let Some(sidecar) = self.sidecar {
+            // Shutdown wakes the sidecar's accept loop too; join so its socket is gone
+            // before the entry point reports the service stopped.
+            let _ = sidecar.join();
+        }
+        result
+    }
+
+    /// The foreground tail of `hfzd` and `hfzr`: prints `<name>: metrics on <addr>`
+    /// (when a sidecar is bound), then `<name>: listening on <addr> (<detail>)`, on
+    /// stdout and flushed — start-up scripts wait for that line — and blocks until
+    /// shutdown.
+    pub fn announce_and_join(self, name: &str, detail: &str) -> Result<(), HfzError> {
+        let mut out = std::io::stdout();
+        if let Some(addr) = self.metrics_addr() {
+            let _ = writeln!(out, "{}: metrics on {}", name, addr);
+        }
+        let _ = writeln!(
+            out,
+            "{}: listening on {} ({})",
+            name,
+            self.local_addr(),
+            detail
+        );
+        let _ = out.flush();
+        self.join()
     }
 }
 

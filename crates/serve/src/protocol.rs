@@ -244,9 +244,10 @@ impl From<ProtocolError> for huffdec_codec::HfzError {
 
 // --- Framing ---------------------------------------------------------------------------
 
-/// Writes one frame (length prefix + body), refusing bodies over `limit` — a length
-/// prefix must never wrap (`as u32`) or promise more than the peer will accept, or the
-/// stream desynchronizes.
+/// Writes one frame (length prefix + body) in a single write, refusing bodies over
+/// `limit` — a length prefix must never wrap (`as u32`) or promise more than the peer
+/// will accept, or the stream desynchronizes. A separate 4-byte write for the prefix
+/// would stall on Nagle's algorithm plus the peer's delayed ACK.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8], limit: u32) -> Result<(), ProtocolError> {
     if body.len() as u64 > limit as u64 {
         return Err(ProtocolError::FrameTooLarge {
@@ -254,8 +255,10 @@ pub fn write_frame<W: Write>(w: &mut W, body: &[u8], limit: u32) -> Result<(), P
             limit,
         });
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

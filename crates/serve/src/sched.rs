@@ -1,7 +1,8 @@
 //! The decode scheduler: single-flight coalescing plus tick-merged batch waves.
 //!
 //! The daemon's request path hands every full-field cache miss to this scheduler
-//! instead of decoding on the requesting thread. Two properties fall out:
+//! instead of decoding on the connection thread, which waits on the miss's flight.
+//! Two properties fall out:
 //!
 //! * **Single-flight** — a per-`(archive, generation, field, kind)` in-flight table
 //!   deduplicates concurrent misses of the *same* field: the first miss creates a
@@ -30,7 +31,7 @@ use huffdec_metrics::Metrics;
 use crate::cache::CacheKey;
 use crate::store::LoadedArchive;
 
-/// One in-flight decode: waiters block on (or poll) the slot until the wave worker
+/// One in-flight decode: waiters block on the slot until the wave worker
 /// completes it with either the decoded bytes or an error message.
 #[derive(Debug, Default)]
 pub(crate) struct FlightSlot {
@@ -52,11 +53,6 @@ impl FlightSlot {
             }
             done = self.cv.wait(done).unwrap_or_else(|p| p.into_inner());
         }
-    }
-
-    /// Non-blocking read: `Some` once the flight completed (the event loop polls this).
-    pub fn try_get(&self) -> Option<Result<Arc<Vec<u8>>, String>> {
-        self.done.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
     /// Completes the flight and wakes every waiter. First completion wins.
@@ -258,7 +254,6 @@ mod tests {
     #[test]
     fn flight_slot_fans_out_to_every_waiter() {
         let slot = FlightSlot::new();
-        assert!(slot.try_get().is_none());
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let slot = Arc::clone(&slot);
@@ -271,7 +266,11 @@ mod tests {
             let got = waiter.join().unwrap().expect("completed ok");
             assert!(Arc::ptr_eq(&got, &bytes), "all waiters share one buffer");
         }
-        assert!(slot.try_get().is_some(), "completion is sticky");
+        let again = slot.wait().expect("completion is sticky");
+        assert!(
+            Arc::ptr_eq(&again, &bytes),
+            "a late waiter gets the same buffer"
+        );
     }
 
     #[test]

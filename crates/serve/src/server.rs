@@ -4,17 +4,16 @@
 //! archives stay compressed in memory (loaded once, parsed once), clients request
 //! decoded fields or ranges over the socket protocol, and a shared bytes-budgeted LRU
 //! ([`DecodedLru`]) absorbs the hot set so repeated `GET`s of the same field cost a
-//! memcpy while cold fields pay one (simulated-GPU) decode.
+//! memcpy while cold fields pay one decode.
 //!
-//! Concurrency model: an **event loop**. One reactor thread owns every connection
-//! (non-blocking sockets, readiness by polling), decodes frames, and answers cheap
-//! requests inline. Every full-field cache miss becomes a *decode future*: the reactor
-//! submits it to the scheduler (`sched::Scheduler`) and parks a ticket in the connection's reply
-//! queue. A single wave-worker thread drains the scheduler — concurrent misses of the
-//! same field coalesce into one decode (single-flight), misses of distinct fields that
-//! land within one scheduling tick merge into one batched wave through the codec's
-//! wave API. Long blocking work that cannot batch (LOAD, VERIFY, ranged-codes partial
-//! decodes) runs on short-lived job threads so it never stalls the reactor.
+//! Concurrency model: **one blocking thread per connection** (the shared
+//! [`Endpoint`] loop) over one shared state, plus one shared decode scheduler.
+//! Cheap requests, `LOAD`, `VERIFY` and ranged-code partial decodes run on the
+//! connection's own thread. Every full-field cache miss is submitted to the scheduler
+//! (`sched::Scheduler`) and the connection thread waits on its flight: a single
+//! wave-worker thread drains the scheduler — concurrent misses of the same field
+//! coalesce into one decode (single-flight), and misses of distinct fields that land
+//! within one scheduling tick merge into one batched wave through the codec's wave API.
 //!
 //! Backpressure: the scheduler's pending queue is bounded. When a miss would overflow
 //! it, the daemon answers the typed `BUSY` reply instead of queueing unbounded work;
@@ -24,16 +23,13 @@
 //! Observability: all counting happens in the codec's [`Metrics`] registry — the codec
 //! records decode/encode timings as it works, the cache records hits and evictions into
 //! the same registry, the scheduler records coalescing/wave/shed counters, and the
-//! request loop adds request-level counters. `STATS` and the HTTP `/metrics` endpoint
-//! are two renders of one snapshot (the `STATS` document is unchanged from the
-//! blocking daemon — scheduler observability is Prometheus-only). Locks are recovered
-//! from poisoning (`PoisonError::into_inner`): a panicking job thread must not take
-//! down stats or health reporting for the whole daemon.
+//! request path adds request-level counters. `STATS` and the HTTP `/metrics` endpoint
+//! are two renders of one snapshot (scheduler observability is Prometheus-only). Locks
+//! are recovered from poisoning (`PoisonError::into_inner`): a panicking connection
+//! thread must not take down stats or health reporting for the whole daemon.
 
-use std::collections::VecDeque;
-use std::io::{Read as _, Write as _};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gpu_sim::GpuConfig;
@@ -44,11 +40,9 @@ use huffdec_core::DecoderKind;
 use huffdec_metrics::{Metrics, MetricsSnapshot};
 
 use crate::cache::{CacheKey, CacheStats, DecodedLru};
-use crate::net::{connect, Conn, ListenAddr, Listener};
-use crate::protocol::{
-    BatchGetItem, GetKind, Request, Response, MAX_REQUEST_BYTES, MAX_RESPONSE_BYTES,
-};
-use crate::sched::{DecodeTask, FlightSlot, Scheduler};
+use crate::net::{Endpoint, Lifecycle, ListenAddr, Service};
+use crate::protocol::{BatchGetItem, GetKind, Request, Response};
+use crate::sched::{DecodeTask, Scheduler};
 use crate::store::{ArchiveStore, LoadedArchive};
 
 /// Server construction parameters.
@@ -108,11 +102,9 @@ pub struct ServerState {
     store: ArchiveStore,
     cache: Mutex<DecodedLru>,
     sched: Scheduler,
-    shutdown: AtomicBool,
-    addr: ListenAddr,
-    /// Resolved address of the HTTP metrics sidecar, when one is bound (shutdown pokes
-    /// it the same way it pokes the protocol listener).
-    metrics_addr: Mutex<Option<ListenAddr>>,
+    /// The wave worker draining `sched`, joined once serving stops.
+    worker: Mutex<Option<JoinHandle<()>>>,
+    lifecycle: Lifecycle,
     /// The metrics snapshot taken by the previous health check — the baseline the next
     /// check's window is measured against.
     health_window: Mutex<MetricsSnapshot>,
@@ -178,31 +170,15 @@ impl ServerState {
 
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.lifecycle.is_shutting_down()
     }
 
     /// Requests shutdown: stops the scheduler (failing still-queued decodes so no
     /// waiter hangs), and wakes the accept loops (protocol and, when bound, the HTTP
     /// metrics sidecar).
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
         self.sched.stop();
-        // The sidecar's accept loop blocks in `accept`; throwaway connections unblock
-        // it (and give the reactor's poll loop an immediate reason to wake).
-        let _ = connect(&self.addr);
-        let metrics_addr = self
-            .metrics_addr
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
-        if let Some(addr) = metrics_addr {
-            let _ = connect(&addr);
-        }
-    }
-
-    /// Records the HTTP metrics sidecar's resolved address so shutdown can poke it.
-    pub(crate) fn set_metrics_addr(&self, addr: ListenAddr) {
-        *self.metrics_addr.lock().unwrap_or_else(|p| p.into_inner()) = Some(addr);
+        self.lifecycle.request_shutdown();
     }
 
     /// Evaluates daemon health for `/healthz`: unhealthy during shutdown, degraded when
@@ -234,45 +210,25 @@ impl ServerState {
     }
 
     /// Handles one request to completion, blocking until its decode (if any) lands.
-    /// Public so in-process consumers (tests, examples) can drive the daemon without a
-    /// socket; the wire path uses the non-blocking `respond` and polls instead.
-    pub fn handle(self: &Arc<Self>, request: &Request) -> Response {
-        match self.respond(request) {
-            Async::Ready(response) => response,
-            Async::Pending(ticket) => ticket.run_and_wait(),
-        }
-    }
-
-    /// Starts one request: cheap requests (and validation failures) resolve
-    /// immediately, everything that must decode or block returns a [`Ticket`] the
-    /// caller waits on or polls.
-    pub(crate) fn respond(self: &Arc<Self>, request: &Request) -> Async {
+    /// Every connection thread calls this; in-process consumers (tests, examples) can
+    /// drive the daemon through it without a socket.
+    pub fn handle(&self, request: &Request) -> Response {
         self.metrics().requests.inc();
-        match request {
-            Request::List => Async::Ready(Response::List(self.list_json())),
-            Request::Stats => Async::Ready(Response::Stats(self.stats_json())),
-            Request::Metrics => Async::Ready(Response::Metrics(self.metrics().render_prometheus())),
+        let result = match request {
+            Request::List => Ok(Response::List(self.list_json())),
+            Request::Stats => Ok(Response::Stats(self.stats_json())),
+            Request::Metrics => Ok(Response::Metrics(self.metrics().render_prometheus())),
             Request::Shutdown => {
                 self.request_shutdown();
-                Async::Ready(Response::ShuttingDown)
+                Ok(Response::ShuttingDown)
             }
-            Request::Load { name, path } => {
-                let name = name.clone();
-                let path = path.clone();
-                self.job(move |state| match state.load_archive(&name, &path) {
-                    Ok(loaded) => Response::Loaded {
-                        fields: loaded.fields().len() as u32,
-                    },
-                    Err(e) => Response::Error(format!("cannot load '{}': {}", name, e)),
+            Request::Load { name, path } => self
+                .load_archive(name, path)
+                .map(|loaded| Response::Loaded {
+                    fields: loaded.fields().len() as u32,
                 })
-            }
-            Request::Verify { archive } => {
-                let archive = archive.clone();
-                self.job(move |state| match state.verify(&archive) {
-                    Ok(report) => Response::Verify(report),
-                    Err(message) => Response::Error(message),
-                })
-            }
+                .map_err(|e| format!("cannot load '{}': {}", name, e)),
+            Request::Verify { archive } => self.verify(archive).map(Response::Verify),
             Request::Get {
                 archive,
                 field,
@@ -280,36 +236,15 @@ impl ServerState {
                 range,
             } => {
                 self.metrics().gets.inc();
-                match self.get(archive, *field, *kind, *range) {
-                    Ok(pending) => pending,
-                    Err(message) => Async::Ready(Response::Error(message)),
-                }
+                self.get(archive, *field, *kind, *range)
             }
             Request::GetBatch {
                 archive,
                 kind,
                 fields,
-            } => match self.get_batch(archive, *kind, fields) {
-                Ok(pending) => pending,
-                Err(message) => Async::Ready(Response::Error(message)),
-            },
-        }
-    }
-
-    /// Packages blocking work (LOAD, VERIFY, partial decodes) as a ticket: the
-    /// reactor spawns the closure on a short-lived job thread, the blocking
-    /// [`ServerState::handle`] path just runs it inline.
-    fn job(
-        self: &Arc<Self>,
-        work: impl FnOnce(&ServerState) -> Response + Send + 'static,
-    ) -> Async {
-        let slot = Arc::new(JobSlot::default());
-        let state = Arc::clone(self);
-        let fill = Arc::clone(&slot);
-        Async::Pending(Ticket {
-            waiter: Waiter::Job(slot),
-            work: Some(Box::new(move || fill.fill(work(&state)))),
-        })
+            } => self.get_batch(archive, *kind, fields),
+        };
+        result.unwrap_or_else(Response::Error)
     }
 
     fn lookup(&self, archive: &str, field: u32) -> Result<(Arc<LoadedArchive>, usize), String> {
@@ -330,12 +265,12 @@ impl ServerState {
     }
 
     fn get(
-        self: &Arc<Self>,
+        &self,
         archive: &str,
         field_index: u32,
         kind: GetKind,
         range: Option<(u64, u64)>,
-    ) -> Result<Async, String> {
+    ) -> Result<Response, String> {
         let (loaded, index) = self.lookup(archive, field_index)?;
         let field = &loaded.fields()[index];
         let elements = match kind {
@@ -366,39 +301,32 @@ impl ServerState {
         // Fast path: the full representation is cached; any range is a slice of it.
         let cached = self.lock_cache().get(&key);
         if let Some(bytes) = cached {
-            return Ok(Async::Ready(slice_response(
-                &bytes, kind, range, elements, true, false,
-            )));
+            return Ok(slice_response(&bytes, kind, range, elements, true));
         }
 
         // Miss. Ranged code requests take the partial path: decode only the
         // overlapping blocks via the field's (cached) decode index. The result is not
         // inserted — it is a fragment, and caching fragments would let a sweep of
-        // small ranges evict whole hot fields. Partial decodes run as jobs, not waves:
-        // they are already sub-linear in field size and do not batch. Index-build and
-        // partial-decode timings are recorded inside the codec.
+        // small ranges evict whole hot fields. Partial decodes do not go through the
+        // scheduler: they are already sub-linear in field size and do not batch.
+        // Index-build and partial-decode timings are recorded inside the codec.
         if let (GetKind::Codes, Some((start, len))) = (kind, range) {
-            return Ok(self.job(move |state| {
-                match state
-                    .codec
-                    .decompress_range(&loaded.fields()[index], start, len)
-                {
-                    Ok(r) => {
-                        let mut bytes = Vec::with_capacity(r.symbols.len() * 2);
-                        for sym in &r.symbols {
-                            bytes.extend_from_slice(&sym.to_le_bytes());
-                        }
-                        Response::Get {
-                            kind,
-                            from_cache: false,
-                            partial: true,
-                            elements: len,
-                            bytes,
-                        }
-                    }
-                    Err(e) => Response::Error(format!("range decode failed: {}", e)),
-                }
-            }));
+            let decoded = self
+                .codec
+                .decompress_range(field, start, len)
+                .map_err(|e| format!("range decode failed: {}", e))?;
+            let bytes = decoded
+                .symbols
+                .iter()
+                .flat_map(|sym| sym.to_le_bytes())
+                .collect();
+            return Ok(Response::Get {
+                kind,
+                from_cache: false,
+                partial: true,
+                elements: len,
+                bytes,
+            });
         }
 
         // Full decode (data requests also land here for ranges: Lorenzo reconstruction
@@ -406,24 +334,19 @@ impl ServerState {
         // the cache serves every later range as a slice). The decode goes through the
         // scheduler: a concurrent miss of the same field joins this flight instead of
         // decoding twice, and misses of other fields in the same tick share one wave.
-        match self.sched.submit_group(&[(key, loaded, index)]) {
-            None => Ok(Async::Ready(Response::Busy)),
-            Some(outcomes) => {
-                let slot = outcomes
-                    .into_iter()
-                    .next()
-                    .expect("one want, one slot")
-                    .slot;
-                Ok(Async::Pending(Ticket {
-                    waiter: Waiter::Flight {
-                        slot,
-                        kind,
-                        range,
-                        elements,
-                    },
-                    work: None,
-                }))
-            }
+        let flight = self
+            .sched
+            .submit_group(&[(key, Arc::clone(&loaded), index)])
+            .and_then(|mut outcomes| outcomes.pop());
+        match flight {
+            None => Ok(Response::Busy),
+            Some(outcome) => Ok(slice_response(
+                &outcome.slot.wait()?,
+                kind,
+                range,
+                elements,
+                false,
+            )),
         }
     }
 
@@ -432,11 +355,11 @@ impl ServerState {
     /// (possibly merged with other requests' misses from the same tick), and fields
     /// already in flight for someone else are joined rather than re-decoded.
     fn get_batch(
-        self: &Arc<Self>,
+        &self,
         archive: &str,
         kind: GetKind,
         field_indices: &[u32],
-    ) -> Result<Async, String> {
+    ) -> Result<Response, String> {
         self.metrics().batch_gets.inc();
         self.metrics().batch_fields.add(field_indices.len() as u64);
         let loaded = self
@@ -466,57 +389,53 @@ impl ServerState {
             kind,
         };
 
-        // One cache pass for the whole request.
-        let cached: Vec<Option<Arc<Vec<u8>>>> = {
+        // One cache pass for the whole request. Each miss is filled in below from the
+        // flight of its field; duplicates within the request share one flight.
+        let mut items: Vec<(Arc<Vec<u8>>, bool)> = Vec::with_capacity(field_indices.len());
+        let mut missing: Vec<(u32, Vec<usize>)> = Vec::new();
+        {
             let mut cache = self.lock_cache();
-            field_indices.iter().map(|&f| cache.get(&key(f))).collect()
-        };
-
-        // Unique cold fields, submitted as one admission group. Duplicates within the
-        // request share the one flight without a second submission.
-        let mut missing: Vec<u32> = Vec::new();
-        for (&f, hit) in field_indices.iter().zip(&cached) {
-            if hit.is_none() && !missing.contains(&f) {
-                missing.push(f);
+            for (pos, &f) in field_indices.iter().enumerate() {
+                match cache.get(&key(f)) {
+                    Some(bytes) => items.push((bytes, true)),
+                    None => {
+                        items.push((Arc::default(), false));
+                        match missing.iter_mut().find(|(field, _)| *field == f) {
+                            Some((_, positions)) => positions.push(pos),
+                            None => missing.push((f, vec![pos])),
+                        }
+                    }
+                }
             }
         }
-        let mut flights: Vec<(u32, Arc<FlightSlot>)> = Vec::with_capacity(missing.len());
         if !missing.is_empty() {
             let wants: Vec<(CacheKey, Arc<LoadedArchive>, usize)> = missing
                 .iter()
-                .map(|&f| (key(f), Arc::clone(&loaded), f as usize))
+                .map(|&(f, _)| (key(f), Arc::clone(&loaded), f as usize))
                 .collect();
-            let outcomes = match self.sched.submit_group(&wants) {
-                None => return Ok(Async::Ready(Response::Busy)),
-                Some(outcomes) => outcomes,
+            let Some(outcomes) = self.sched.submit_group(&wants) else {
+                return Ok(Response::Busy);
             };
             // Count only the decodes this request put in flight — joins of another
             // request's flight are its decodes, not ours.
             let created = outcomes.iter().filter(|o| o.created).count();
             self.metrics().batch_decoded_fields.add(created as u64);
-            for (&f, outcome) in missing.iter().zip(outcomes) {
-                flights.push((f, outcome.slot));
+            for ((_, positions), outcome) in missing.iter().zip(outcomes) {
+                let bytes = outcome.slot.wait()?;
+                for &pos in positions {
+                    items[pos].0 = Arc::clone(&bytes);
+                }
             }
         }
-
-        let parts: Vec<BatchPart> = field_indices
-            .iter()
-            .zip(&cached)
-            .map(|(&f, hit)| match hit {
-                Some(bytes) => BatchPart::Hit(Arc::clone(bytes)),
-                None => BatchPart::Wait(Arc::clone(
-                    &flights
-                        .iter()
-                        .find(|(idx, _)| *idx == f)
-                        .expect("every miss was submitted")
-                        .1,
-                )),
+        let items = items
+            .into_iter()
+            .map(|(bytes, from_cache)| BatchGetItem {
+                from_cache,
+                elements: bytes.len() as u64 / kind.element_bytes(),
+                bytes: bytes.to_vec(),
             })
             .collect();
-        Ok(Async::Pending(Ticket {
-            waiter: Waiter::Batch { kind, parts },
-            work: None,
-        }))
+        Ok(Response::GetBatch { kind, items })
     }
 
     /// Runs one wave the scheduler drained: per representation kind, all fields go
@@ -712,406 +631,67 @@ fn slice_response(
     range: Option<(u64, u64)>,
     elements: u64,
     from_cache: bool,
-    partial: bool,
 ) -> Response {
-    match range {
-        None => Response::Get {
-            kind,
-            from_cache,
-            partial,
-            elements,
-            bytes: bytes.to_vec(),
-        },
+    let (elements, bytes) = match range {
+        None => (elements, bytes.to_vec()),
         Some((start, len)) => {
             let eb = kind.element_bytes();
-            let lo = (start * eb) as usize;
-            let hi = ((start + len) * eb) as usize;
-            Response::Get {
-                kind,
-                from_cache,
-                partial,
-                elements: len,
-                bytes: bytes[lo..hi].to_vec(),
-            }
+            (
+                len,
+                bytes[(start * eb) as usize..((start + len) * eb) as usize].to_vec(),
+            )
         }
+    };
+    Response::Get {
+        kind,
+        from_cache,
+        partial: false,
+        elements,
+        bytes,
     }
 }
 
-/// A decode future's result, shaped for the wire.
-fn flight_response(
-    result: Result<Arc<Vec<u8>>, String>,
-    kind: GetKind,
-    range: Option<(u64, u64)>,
-    elements: u64,
-) -> Response {
-    match result {
-        Ok(bytes) => slice_response(&bytes, kind, range, elements, false, false),
-        Err(message) => Response::Error(message),
-    }
-}
-
-fn batch_response(kind: GetKind, items: &[(Arc<Vec<u8>>, bool)]) -> Response {
-    let items = items
-        .iter()
-        .map(|(bytes, from_cache)| BatchGetItem {
-            from_cache: *from_cache,
-            elements: bytes.len() as u64 / kind.element_bytes(),
-            bytes: bytes.to_vec(),
-        })
-        .collect();
-    Response::GetBatch { kind, items }
-}
-
-/// A request in flight: either the response is ready, or a ticket describes what to
-/// wait for.
-pub(crate) enum Async {
-    /// Resolved inline.
-    Ready(Response),
-    /// Parked on a decode flight, a batch of them, or a job thread.
-    Pending(Ticket),
-}
-
-/// What a pending request is waiting on, plus (for jobs) the deferred work itself.
-pub(crate) struct Ticket {
-    waiter: Waiter,
-    work: Option<Box<dyn FnOnce() + Send>>,
-}
-
-enum Waiter {
-    /// A single-field `GET` waiting on its (possibly shared) decode flight.
-    Flight {
-        slot: Arc<FlightSlot>,
-        kind: GetKind,
-        range: Option<(u64, u64)>,
-        elements: u64,
-    },
-    /// A `GETBATCH` whose parts resolve independently (hits are already resolved).
-    Batch {
-        kind: GetKind,
-        parts: Vec<BatchPart>,
-    },
-    /// Blocking work running on a job thread.
-    Job(Arc<JobSlot>),
-}
-
-enum BatchPart {
-    Hit(Arc<Vec<u8>>),
-    Wait(Arc<FlightSlot>),
-}
-
-/// Completion slot for job-thread work (LOAD, VERIFY, partial decodes).
-#[derive(Debug, Default)]
-struct JobSlot {
-    done: Mutex<Option<Response>>,
-    cv: Condvar,
-}
-
-impl JobSlot {
-    fn fill(&self, response: Response) {
-        *self.done.lock().unwrap_or_else(|p| p.into_inner()) = Some(response);
-        self.cv.notify_all();
+impl Service for ServerState {
+    fn handle(&self, request: &Request) -> Response {
+        ServerState::handle(self, request)
     }
 
-    fn wait(&self) -> Response {
-        let mut done = self.done.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(response) = done.take() {
-                return response;
-            }
-            done = self.cv.wait(done).unwrap_or_else(|p| p.into_inner());
-        }
+    fn metrics_text(&self) -> String {
+        self.metrics().render_prometheus()
     }
 
-    fn try_take(&self) -> Option<Response> {
-        self.done.lock().unwrap_or_else(|p| p.into_inner()).take()
-    }
-}
-
-impl Ticket {
-    /// Detaches the deferred work, if any — the reactor runs it on a job thread.
-    fn take_work(&mut self) -> Option<Box<dyn FnOnce() + Send>> {
-        self.work.take()
+    fn health(&self) -> Health {
+        ServerState::health(self)
     }
 
-    /// Runs any deferred work inline and blocks until the response is ready (the
-    /// socketless [`ServerState::handle`] path).
-    fn run_and_wait(mut self) -> Response {
-        if let Some(work) = self.work.take() {
-            work();
-        }
-        match self.waiter {
-            Waiter::Flight {
-                slot,
-                kind,
-                range,
-                elements,
-            } => flight_response(slot.wait(), kind, range, elements),
-            Waiter::Batch { kind, parts } => {
-                let mut items = Vec::with_capacity(parts.len());
-                for part in parts {
-                    match part {
-                        BatchPart::Hit(bytes) => items.push((bytes, true)),
-                        BatchPart::Wait(slot) => match slot.wait() {
-                            Ok(bytes) => items.push((bytes, false)),
-                            Err(message) => return Response::Error(message),
-                        },
-                    }
-                }
-                batch_response(kind, &items)
-            }
-            Waiter::Job(slot) => slot.wait(),
-        }
+    fn lifecycle(&self) -> &Lifecycle {
+        &self.lifecycle
     }
 
-    /// Non-blocking: `Some(response)` once everything this ticket waits on is done.
-    fn poll(&self) -> Option<Response> {
-        match &self.waiter {
-            Waiter::Flight {
-                slot,
-                kind,
-                range,
-                elements,
-            } => slot
-                .try_get()
-                .map(|result| flight_response(result, *kind, *range, *elements)),
-            Waiter::Batch { kind, parts } => {
-                let mut items = Vec::with_capacity(parts.len());
-                for part in parts {
-                    match part {
-                        BatchPart::Hit(bytes) => items.push((Arc::clone(bytes), true)),
-                        BatchPart::Wait(slot) => match slot.try_get() {
-                            None => return None,
-                            Some(Ok(bytes)) => items.push((bytes, false)),
-                            Some(Err(message)) => return Some(Response::Error(message)),
-                        },
-                    }
-                }
-                Some(batch_response(*kind, &items))
-            }
-            Waiter::Job(slot) => slot.try_take(),
-        }
-    }
-}
-
-/// Encodes a response, degrading one that does not fit a frame (a field decoding past
-/// the 1 GiB response ceiling) to a typed error instead of desyncing the stream.
-fn encode_capped(response: Response) -> Vec<u8> {
-    let body = response.encode();
-    if body.len() as u64 > MAX_RESPONSE_BYTES as u64 {
-        return Response::Error(format!(
-            "response of {} bytes exceeds the {} frame limit; request a range",
-            body.len(),
-            MAX_RESPONSE_BYTES
-        ))
-        .encode();
-    }
-    body
-}
-
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(4 + body.len());
-    framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    framed.extend_from_slice(body);
-    framed
-}
-
-/// One reply slot in a connection's ordered queue: encoded and ready to write, or
-/// still waiting on its ticket. Replies always leave in request order.
-enum Entry {
-    Ready(Vec<u8>),
-    Waiting(Ticket),
-}
-
-/// Per-connection state the reactor owns: the socket, the partial read buffer, the
-/// ordered reply queue, and the partial write in progress.
-struct ConnState {
-    conn: Conn,
-    rbuf: Vec<u8>,
-    queue: VecDeque<Entry>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    close_after_write: bool,
-}
-
-impl ConnState {
-    fn new(conn: Conn) -> ConnState {
-        ConnState {
-            conn,
-            rbuf: Vec::new(),
-            queue: VecDeque::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            close_after_write: false,
-        }
+    fn request_shutdown(&self) {
+        ServerState::request_shutdown(self);
     }
 
-    /// One reactor pass over this connection: read what's available, start every
-    /// complete request, resolve finished tickets, write what fits. Returns
-    /// `(keep, progressed)`.
-    fn pump(
-        &mut self,
-        state: &Arc<ServerState>,
-        jobs: &mut Vec<std::thread::JoinHandle<()>>,
-    ) -> (bool, bool) {
-        let mut progressed = false;
-        // Read whatever is available.
-        let mut buf = [0u8; 16 * 1024];
-        let mut eof = false;
-        loop {
-            match self.conn.read(&mut buf) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&buf[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    eof = true; // dead socket: treat as EOF and drain out
-                    break;
-                }
-            }
+    /// Stops the scheduler (a no-op after a normal shutdown) and joins the wave worker.
+    fn stopped(&self) {
+        self.sched.stop();
+        let worker = self.worker.lock().unwrap_or_else(|p| p.into_inner()).take();
+        if let Some(worker) = worker {
+            let _ = worker.join();
         }
-        // Start every complete frame.
-        loop {
-            if self.rbuf.len() < 4 {
-                break;
-            }
-            let len = u32::from_le_bytes(self.rbuf[..4].try_into().expect("4 bytes")) as usize;
-            if len as u64 > MAX_REQUEST_BYTES as u64 {
-                return (false, true); // protocol violation: drop the connection
-            }
-            if self.rbuf.len() < 4 + len {
-                break;
-            }
-            let body: Vec<u8> = self.rbuf[4..4 + len].to_vec();
-            self.rbuf.drain(..4 + len);
-            progressed = true;
-            // Once SHUTDOWN has been accepted, concurrent connections are dropped
-            // rather than served: the daemon must be able to exit without waiting for
-            // every keepalive client to hang up on its own.
-            if state.is_shutting_down() {
-                return (false, true);
-            }
-            let entry = match Request::decode(&body) {
-                Ok(request) => match state.respond(&request) {
-                    Async::Ready(response) => {
-                        if matches!(response, Response::ShuttingDown) {
-                            self.close_after_write = true;
-                        }
-                        Entry::Ready(encode_capped(response))
-                    }
-                    Async::Pending(mut ticket) => {
-                        if let Some(work) = ticket.take_work() {
-                            jobs.push(std::thread::spawn(work));
-                        }
-                        Entry::Waiting(ticket)
-                    }
-                },
-                Err(e) => Entry::Ready(encode_capped(Response::Error(format!(
-                    "bad request: {}",
-                    e
-                )))),
-            };
-            self.queue.push_back(entry);
-        }
-        // Resolve finished tickets (anywhere in the queue — a later reply may finish
-        // before an earlier one; it still leaves in order).
-        for entry in self.queue.iter_mut() {
-            if let Entry::Waiting(ticket) = entry {
-                if let Some(response) = ticket.poll() {
-                    *entry = Entry::Ready(encode_capped(response));
-                    progressed = true;
-                }
-            }
-        }
-        // Write as much as the socket accepts, in request order.
-        loop {
-            if self.wbuf.len() == self.wpos {
-                match self.queue.front() {
-                    Some(Entry::Ready(_)) => match self.queue.pop_front() {
-                        Some(Entry::Ready(body)) => {
-                            self.wbuf = frame(&body);
-                            self.wpos = 0;
-                        }
-                        _ => unreachable!("front was Ready"),
-                    },
-                    _ => break,
-                }
-            }
-            match self.conn.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return (false, true),
-                Ok(n) => {
-                    self.wpos += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return (false, true),
-            }
-        }
-        if self.close_after_write && self.queue.is_empty() && self.wbuf.len() == self.wpos {
-            let _ = self.conn.flush();
-            return (false, progressed);
-        }
-        if eof {
-            // Peer closed its sending half. Keep the connection only while replies
-            // are still owed (a pipelined client may have shut down writes early).
-            let owed = !self.queue.is_empty() || self.wbuf.len() != self.wpos;
-            return (owed, progressed);
-        }
-        (true, progressed)
-    }
-
-    /// Shutdown drain: flushes the replies that are already resolved (most
-    /// importantly the `ShuttingDown` acknowledgement) with a short blocking budget,
-    /// then the connection drops.
-    fn flush_ready_blocking(&mut self) {
-        let _ = self.conn.set_nonblocking(false);
-        let _ = self.conn.set_timeouts(
-            Some(Duration::from_millis(200)),
-            Some(Duration::from_millis(200)),
-        );
-        if self.wbuf.len() != self.wpos {
-            let at = self.wpos;
-            if self.conn.write_all(&self.wbuf[at..]).is_err() {
-                return;
-            }
-        }
-        while let Some(entry) = self.queue.pop_front() {
-            match entry {
-                Entry::Ready(body) => {
-                    if self.conn.write_all(&frame(&body)).is_err() {
-                        return;
-                    }
-                }
-                // A decode still pending at shutdown: its connection drops, like every
-                // other connection the shutdown severs.
-                Entry::Waiting(_) => break,
-            }
-        }
-        let _ = self.conn.flush();
     }
 }
 
 /// A bound daemon: the listener, the shared state, and the already-running wave
 /// worker. Requests are not accepted until [`Server::run`].
-pub struct Server {
-    listener: Listener,
-    state: Arc<ServerState>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
+#[derive(Debug)]
+pub struct Server(pub(crate) Endpoint<ServerState>);
 
 impl Server {
     /// Binds `addr`, builds the shared state, and spawns the wave-worker thread (so
     /// in-process consumers can drive [`ServerState::handle`] before — or without —
     /// calling [`Server::run`]).
     pub fn bind(addr: &ListenAddr, config: &ServerConfig) -> std::io::Result<Server> {
-        let listener = Listener::bind(addr)?;
-        let resolved = listener.local_addr()?;
         let codec = Codec::builder()
             .gpu_config(config.gpu.clone())
             .backend(config.backend)
@@ -1132,81 +712,35 @@ impl Server {
             store: ArchiveStore::new(),
             cache: Mutex::new(cache),
             sched,
-            shutdown: AtomicBool::new(false),
-            addr: resolved,
-            metrics_addr: Mutex::new(None),
+            worker: Mutex::new(None),
+            lifecycle: Lifecycle::default(),
             health_window: Mutex::new(health_window),
         });
+        let endpoint = Endpoint::bind(addr, Arc::clone(&state))?;
         let worker_state = Arc::clone(&state);
         let worker = std::thread::spawn(move || {
             while let Some(tasks) = worker_state.sched.next_wave() {
                 worker_state.execute_wave(tasks);
             }
         });
-        Ok(Server {
-            listener,
-            state,
-            worker: Some(worker),
-        })
+        *state.worker.lock().unwrap_or_else(|p| p.into_inner()) = Some(worker);
+        Ok(Server(endpoint))
     }
 
     /// The resolved listen address (report this to clients; for `tcp:...:0` it carries
     /// the actual port).
     pub fn local_addr(&self) -> ListenAddr {
-        self.state.addr.clone()
+        self.0.local_addr()
     }
 
     /// Handle to the shared state (for in-process loading, stats, and tests).
     pub fn state(&self) -> Arc<ServerState> {
-        Arc::clone(&self.state)
+        self.0.state()
     }
 
-    /// Runs the event loop until a `SHUTDOWN` request arrives, then flushes pending
-    /// acknowledgements, drops every connection, and drains the worker threads.
-    pub fn run(mut self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut conns: Vec<ConnState> = Vec::new();
-        let mut jobs: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.state.is_shutting_down() {
-            let mut progressed = false;
-            loop {
-                match self.listener.accept() {
-                    Ok(conn) => {
-                        if conn.set_nonblocking(true).is_ok() {
-                            conns.push(ConnState::new(conn));
-                            progressed = true;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            // Reap finished job threads as we go: a long-running daemon must not
-            // accumulate one JoinHandle per LOAD or VERIFY it ever served.
-            jobs.retain(|job| !job.is_finished());
-            let state = &self.state;
-            conns.retain_mut(|conn| {
-                let (keep, moved) = conn.pump(state, &mut jobs);
-                progressed |= moved;
-                keep
-            });
-            if !progressed {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        }
-        // Shutdown: get the already-resolved replies out (the client that asked for
-        // shutdown is owed its acknowledgement), then sever every connection.
-        for conn in &mut conns {
-            conn.flush_ready_blocking();
-        }
-        drop(conns);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-        for job in jobs {
-            let _ = job.join();
-        }
-        Ok(())
+    /// Serves until a `SHUTDOWN` request arrives, then unblocks and joins every
+    /// connection thread and the wave worker.
+    pub fn run(self) -> std::io::Result<()> {
+        self.0.run()
     }
 }
