@@ -54,7 +54,8 @@ impl<S: Service> HttpServer<S> {
         let service = Arc::clone(&self.service);
         accept_loop(&self.listener, self.service.lifecycle(), move |conn| {
             let _ = serve_connection(conn, &*service);
-        })
+        });
+        Ok(())
     }
 }
 
@@ -68,7 +69,8 @@ impl<S: Service> std::fmt::Debug for HttpServer<S> {
 
 /// Reads one request head and writes one response. Any parse problem is answered with
 /// a `400`; I/O errors are returned for the caller to drop.
-fn serve_connection<S: Service>(conn: &mut Conn, state: &S) -> std::io::Result<()> {
+fn serve_connection<S: Service>(mut conn: &Conn, state: &S) -> std::io::Result<()> {
+    let conn = &mut conn;
     let head = match read_head(conn) {
         Ok(head) => head,
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -121,7 +123,7 @@ fn serve_connection<S: Service>(conn: &mut Conn, state: &S) -> std::io::Result<(
 }
 
 /// Reads until the `\r\n\r\n` head terminator, bounded by [`MAX_HEAD_BYTES`].
-fn read_head(conn: &mut Conn) -> std::io::Result<Vec<u8>> {
+fn read_head(conn: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     loop {
@@ -162,7 +164,7 @@ fn parse_request_line(head: &[u8]) -> Option<(&str, &str)> {
 
 /// Writes one complete HTTP/1.1 response and flushes it.
 fn write_response(
-    conn: &mut Conn,
+    conn: &mut impl Write,
     code: u16,
     reason: &str,
     content_type: &str,

@@ -18,8 +18,8 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,12 +92,13 @@ impl Conn {
         Ok(Conn::Tcp(stream))
     }
 
-    /// A second handle on the same socket.
-    pub(crate) fn try_clone(&self) -> std::io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
-            #[cfg(unix)]
-            Conn::Unix(s) => Ok(Conn::Unix(s.try_clone()?)),
+    /// Waits until the peer's first bytes have arrived, at most `grace`, without
+    /// consuming them. Only TCP can peek; a Unix stream returns at once.
+    fn await_first_bytes(&self, grace: Duration) {
+        if let Conn::Tcp(s) = self {
+            let _ = s.set_read_timeout(Some(grace));
+            let _ = s.peek(&mut [0u8; 1]);
+            let _ = s.set_read_timeout(None);
         }
     }
 
@@ -131,31 +132,49 @@ impl Conn {
     }
 }
 
-impl Read for Conn {
+// Reads and writes go through `&Conn`, as they do for `&TcpStream`: a connection
+// thread reads and writes while the accept loop keeps a handle it can shut down.
+impl Read for &Conn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.read(buf),
+            Conn::Tcp(s) => (&mut &*s).read(buf),
             #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
+            Conn::Unix(s) => (&mut &*s).read(buf),
         }
     }
 }
 
-impl Write for Conn {
+impl Write for &Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.write(buf),
+            Conn::Tcp(s) => (&mut &*s).write(buf),
             #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
+            Conn::Unix(s) => (&mut &*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.flush(),
+            Conn::Tcp(s) => (&mut &*s).flush(),
             #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
+            Conn::Unix(s) => (&mut &*s).flush(),
         }
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        (&*self).read(buf)
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&*self).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        (&*self).flush()
     }
 }
 
@@ -256,11 +275,16 @@ pub trait Service: Send + Sync + 'static {
     fn stopped(&self);
 }
 
-/// The shutdown flag a service's protocol listener and HTTP sidecar share, and the
-/// bound addresses shutdown dials to wake their blocking `accept`.
+/// The shutdown flag a service's protocol listener and HTTP sidecar share, the
+/// bound addresses shutdown dials to wake their blocking `accept`, and how recently
+/// connections arrived (the daemon's decode scheduler holds a wave open while they
+/// still are).
 #[derive(Debug, Default)]
 pub struct Lifecycle {
     shutdown: AtomicBool,
+    /// Accepted connections whose first bytes have not arrived yet.
+    intake: Arc<AtomicUsize>,
+    last_accept: Mutex<Option<Instant>>,
     listener: Mutex<Option<ListenAddr>>,
     sidecar: Mutex<Option<ListenAddr>>,
 }
@@ -269,6 +293,19 @@ impl Lifecycle {
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Whether connections are still arriving: one was accepted within `within`, or
+    /// one accepted less than [`FIRST_REQUEST_GRACE`] ago has not sent its first bytes
+    /// yet. The daemon's scheduler holds a decode wave open while this is true, so the
+    /// first requests of clients that connect together share a wave even when their
+    /// threads are scheduled late.
+    pub(crate) fn accepting(&self, within: Duration) -> bool {
+        if self.intake.load(Ordering::SeqCst) > 0 {
+            return true;
+        }
+        let last = *self.last_accept.lock().unwrap_or_else(|p| p.into_inner());
+        last.is_some_and(|at| at.elapsed() < within)
     }
 
     /// Sets the flag and wakes both accept loops with throwaway connections.
@@ -295,47 +332,79 @@ impl Lifecycle {
 /// poke, a client racing it, or a reply still being written.
 const EXIT_BUDGET: Duration = Duration::from_millis(200);
 
+/// How long a freshly accepted connection counts as still arriving (see
+/// [`Lifecycle::accepting`]) while its first bytes have not arrived.
+pub(crate) const FIRST_REQUEST_GRACE: Duration = Duration::from_millis(10);
+
+/// How long the accept loop backs off after an accept error that is not the peer's
+/// doing (the open-file limit, memory), instead of spinning on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// The accept loop of the protocol endpoint and of the HTTP sidecar: one thread per
-/// connection until shutdown. At exit the read half of every live connection is shut,
-/// so a thread blocked on its next request sees EOF while the replies it owes (the
-/// `SHUTDOWN` acknowledgement among them) still get written; after [`EXIT_BUDGET`] the
-/// write half is shut as well, and every thread is joined.
-pub(crate) fn accept_loop<F>(
-    listener: &Listener,
-    lifecycle: &Lifecycle,
-    serve: F,
-) -> std::io::Result<()>
+/// connection until shutdown. An accept error costs one connection, never the server:
+/// the loop backs off briefly (a full file table frees up as connections close) and
+/// keeps accepting.
+///
+/// At exit the read half of every live connection is shut, so a thread blocked on its
+/// next request sees EOF while the replies it owes (the `SHUTDOWN` acknowledgement
+/// among them) still get written; after [`EXIT_BUDGET`] the write half is shut as well,
+/// and every thread is joined.
+pub(crate) fn accept_loop<F>(listener: &Listener, lifecycle: &Lifecycle, serve: F)
 where
-    F: Fn(&mut Conn) + Clone + Send + 'static,
+    F: Fn(&Conn) + Clone + Send + 'static,
 {
-    let mut live: Vec<(Conn, JoinHandle<()>)> = Vec::new();
-    let result = loop {
-        let mut conn = match listener.accept() {
+    // The loop holds only a weak handle, so a finished connection's socket closes
+    // with its thread rather than when the loop next reaps it.
+    let mut live: Vec<(Weak<Conn>, JoinHandle<()>)> = Vec::new();
+    loop {
+        let conn = match listener.accept() {
             Ok(conn) => conn,
-            Err(e) => break Err(e),
+            Err(_) if lifecycle.is_shutting_down() => break,
+            Err(e) => {
+                if !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
+                ) {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                }
+                continue;
+            }
         };
         if lifecycle.is_shutting_down() {
             let _ = conn.set_timeouts(Some(EXIT_BUDGET), Some(EXIT_BUDGET));
-            serve(&mut conn);
-            break Ok(());
+            serve(&conn);
+            break;
         }
+        *lifecycle
+            .last_accept
+            .lock()
+            .unwrap_or_else(|p| p.into_inner()) = Some(Instant::now());
         live.retain(|(_, thread)| !thread.is_finished());
-        let Ok(peer) = conn.try_clone() else {
-            continue;
-        };
+        let conn = Arc::new(conn);
+        let watch = Arc::downgrade(&conn);
+        let intake = Arc::clone(&lifecycle.intake);
+        intake.fetch_add(1, Ordering::SeqCst);
         let serve = serve.clone();
-        // A thread that cannot be spawned drops its connection, not the server.
         let spawned = std::thread::Builder::new().spawn(move || {
-            serve(&mut conn);
-            // `peer` keeps the socket open until it is reaped: close it now.
-            let _ = conn.shutdown(Shutdown::Both);
+            conn.await_first_bytes(FIRST_REQUEST_GRACE);
+            intake.fetch_sub(1, Ordering::SeqCst);
+            serve(&conn);
         });
-        if let Ok(thread) = spawned {
-            live.push((peer, thread));
+        match spawned {
+            Ok(thread) => live.push((watch, thread)),
+            // A thread that cannot be spawned drops its connection, not the server.
+            Err(_) => {
+                lifecycle.intake.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+    let shut = |conn: &Weak<Conn>, how: Shutdown| {
+        if let Some(conn) = conn.upgrade() {
+            let _ = conn.shutdown(how);
         }
     };
     for (conn, _) in &live {
-        let _ = conn.shutdown(Shutdown::Read);
+        shut(conn, Shutdown::Read);
     }
     // A peer that stops reading blocks the write of its reply for good: once the
     // budget is spent, the write half is cut too.
@@ -344,16 +413,15 @@ where
         std::thread::sleep(Duration::from_millis(1));
     }
     for (conn, thread) in live {
-        let _ = conn.shutdown(Shutdown::Both);
+        shut(&conn, Shutdown::Both);
         let _ = thread.join();
     }
-    result
 }
 
 /// One protocol connection: frames in, frames out, in request order, until EOF or a
 /// protocol violation (an oversized or truncated frame drops the connection).
-fn serve_frames<S: Service>(service: &S, conn: &mut Conn) {
-    while let Ok(Some(body)) = read_frame(conn, MAX_REQUEST_BYTES) {
+fn serve_frames<S: Service>(service: &S, mut conn: &Conn) {
+    while let Ok(Some(body)) = read_frame(&mut conn, MAX_REQUEST_BYTES) {
         // Once SHUTDOWN has been accepted, other connections are dropped at their next
         // frame rather than served.
         if service.lifecycle().is_shutting_down() {
@@ -375,7 +443,7 @@ fn serve_frames<S: Service>(service: &S, conn: &mut Conn) {
             ))
             .encode();
         }
-        if write_frame(conn, &reply, MAX_RESPONSE_BYTES).is_err() || last {
+        if write_frame(&mut conn, &reply, MAX_RESPONSE_BYTES).is_err() || last {
             return;
         }
     }
@@ -416,15 +484,11 @@ impl<S: Service> Endpoint<S> {
     /// Serves until shutdown, one thread per connection, then joins them all.
     pub fn run(self) -> std::io::Result<()> {
         let service = Arc::clone(&self.state);
-        let result = accept_loop(&self.listener, self.state.lifecycle(), move |conn| {
+        accept_loop(&self.listener, self.state.lifecycle(), move |conn| {
             serve_frames(&*service, conn)
         });
-        if result.is_err() {
-            // Serving is over either way; stop whatever else waits on the flag.
-            self.state.request_shutdown();
-        }
         self.state.stopped();
-        result
+        Ok(())
     }
 }
 

@@ -13,6 +13,8 @@
 //!   codec's wave API (`decompress_wave` / `decode_codes_wave`) so they run as one
 //!   overlapped batch — the serving-side analogue of the paper's batched kernel
 //!   launches (`sched_waves` / `sched_wave_fields` / `sched_multi_field_waves`).
+//!   While connections are still arriving the wave stays open a tick longer (see
+//!   [`Scheduler::next_wave`]).
 //!
 //! Admission control: the pending queue is bounded. A submission that would push it
 //! past the bound is **shed** — nothing is enqueued, `sched_shed` is bumped, and the
@@ -24,11 +26,12 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use huffdec_metrics::Metrics;
 
 use crate::cache::CacheKey;
+use crate::net::FIRST_REQUEST_GRACE;
 use crate::store::LoadedArchive;
 
 /// One in-flight decode: waiters block on the slot until the wave worker
@@ -183,7 +186,13 @@ impl Scheduler {
     /// Worker side: blocks until at least one decode is pending, holds the wave open
     /// for one tick so concurrent misses can merge into it, then drains the whole
     /// queue as one wave. Returns `None` once the scheduler is stopped and drained.
-    pub fn next_wave(&self) -> Option<Vec<DecodeTask>> {
+    ///
+    /// `accepting(window)` reports whether connections are still arriving (one was
+    /// accepted within `window`, or an accepted one has not sent its first request):
+    /// the wave then stays open a tick at a time, for at most [`FIRST_REQUEST_GRACE`],
+    /// so clients that connect together share their first wave even when their
+    /// threads run late.
+    pub fn next_wave(&self, accepting: impl Fn(Duration) -> bool) -> Option<Vec<DecodeTask>> {
         loop {
             {
                 let mut inner = self.lock();
@@ -199,7 +208,11 @@ impl Scheduler {
             }
             // The merge window: sleep outside the lock so submitters can still get in.
             if !self.tick.is_zero() {
+                let deadline = Instant::now() + FIRST_REQUEST_GRACE;
                 std::thread::sleep(self.tick);
+                while accepting(2 * self.tick) && Instant::now() < deadline {
+                    std::thread::sleep(self.tick);
+                }
             }
             let tasks: Vec<DecodeTask> = {
                 let mut inner = self.lock();

@@ -465,11 +465,20 @@ impl ServerState {
         };
         match produced {
             Ok(outputs) => {
-                for (task, bytes) in tasks.iter().zip(outputs) {
-                    // Insert before completing, complete before finishing: a miss that
-                    // no longer finds the flight is guaranteed to find the cache entry.
-                    let canonical = self.lock_cache().insert(task.key.clone(), bytes);
-                    task.slot.complete(Ok(canonical));
+                // The whole wave goes into the cache before any waiter wakes, so a
+                // client that asks for another field of this wave next finds it cached.
+                let canonical: Vec<Arc<Vec<u8>>> = {
+                    let mut cache = self.lock_cache();
+                    tasks
+                        .iter()
+                        .zip(outputs)
+                        .map(|(task, bytes)| cache.insert(task.key.clone(), bytes))
+                        .collect()
+                };
+                // Complete before finishing: a miss that no longer finds the flight is
+                // guaranteed to find the cache entry.
+                for (task, bytes) in tasks.iter().zip(canonical) {
+                    task.slot.complete(Ok(bytes));
                     self.sched.finish(&task.key);
                 }
             }
@@ -719,7 +728,8 @@ impl Server {
         let endpoint = Endpoint::bind(addr, Arc::clone(&state))?;
         let worker_state = Arc::clone(&state);
         let worker = std::thread::spawn(move || {
-            while let Some(tasks) = worker_state.sched.next_wave() {
+            let accepting = |within| worker_state.lifecycle.accepting(within);
+            while let Some(tasks) = worker_state.sched.next_wave(accepting) {
                 worker_state.execute_wave(tasks);
             }
         });

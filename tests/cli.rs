@@ -332,6 +332,59 @@ fn serve_and_get_roundtrip_through_the_daemon() {
     assert!(status.success(), "daemon must exit cleanly after SHUTDOWN");
 }
 
+/// Running out of file descriptors costs the daemon connections, not its life: once
+/// clients hang up, it accepts again and still shuts down cleanly.
+#[cfg(unix)]
+#[test]
+fn daemon_keeps_serving_past_the_open_file_limit() {
+    // `ulimit -n` lowers the daemon's own limit, so the clients below hold more
+    // connections than it may have open files and `accept` fails with EMFILE.
+    let mut daemon = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -n 32 && exec \"$0\" --listen tcp:127.0.0.1:0",
+            env!("CARGO_BIN_EXE_hfzd"),
+        ])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let stdout = daemon.stdout.take().expect("piped stdout");
+    let banner = std::io::BufReader::new(stdout)
+        .lines()
+        .next()
+        .expect("daemon prints its banner")
+        .expect("banner reads");
+    let addr = banner
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix("tcp:"))
+        .expect("banner names the address")
+        .to_string();
+
+    let held: Vec<std::net::TcpStream> = (0..64)
+        .map(|_| std::net::TcpStream::connect(&addr).expect("the daemon keeps listening"))
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    assert!(
+        daemon.try_wait().unwrap().is_none(),
+        "the daemon must survive a failed accept"
+    );
+    drop(held);
+
+    let tcp = format!("tcp:{}", addr);
+    let list = hfz().args(["list", "--addr", &tcp]).output().unwrap();
+    assert!(
+        list.status.success(),
+        "LIST after the file table drains: {}",
+        String::from_utf8_lossy(&list.stderr)
+    );
+    let shutdown = hfz().args(["shutdown", "--addr", &tcp]).output().unwrap();
+    assert!(shutdown.status.success());
+    assert!(
+        daemon.wait().unwrap().success(),
+        "clean exit after SHUTDOWN"
+    );
+}
+
 #[test]
 fn snapshot_compress_extract_roundtrips_byte_identically() {
     let dir = std::env::temp_dir().join("hfz-cli-test-snapshot");
